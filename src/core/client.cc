@@ -435,13 +435,6 @@ Status BackupSession::UploadWriter::Finish(UploadStats* stats) {
 
 Status CdstoreClient::Upload(const std::string& path_name, ConstByteSpan data,
                              UploadStats* stats, const UploadFileOptions& options) {
-  if (!opts_.streaming_upload) {
-    ASSIGN_OR_RETURN(std::vector<Bytes> path_keys, PathKeys(path_name));
-    TraceRequest trace(opts_.tracer, "upload");
-    ScopedTraceParent trace_parent(trace.context());
-    return UploadBarrier(path_keys, PathIdOf(path_name),
-                         static_cast<uint32_t>(path_name.size()), data, options, stats);
-  }
   // Thin wrapper: a one-file session. Chunking, encoding, dedup, transfer,
   // and stats are identical to any other session upload.
   ASSIGN_OR_RETURN(std::unique_ptr<BackupSession> session, OpenBackupSession());
@@ -675,190 +668,6 @@ Status CdstoreClient::StreamUploadToCloud(int cloud, int consumer, const Bytes& 
   return Status::Ok();
 }
 
-Status CdstoreClient::UploadToCloud(int cloud, const Bytes& path_key, const Bytes& path_id,
-                                    uint32_t path_name_len, uint64_t file_size,
-                                    const UploadFileOptions& fopts,
-                                    const std::vector<RecipeEntry>& recipe,
-                                    const std::vector<const Bytes*>& shares,
-                                    UploadStats* stats, Mutex* stats_mu,
-                                    uint64_t* bound_generation) {
-  uint64_t rpcs = 0;
-
-  // 1. Intra-user dedup query (§3.3).
-  FpQueryRequest query;
-  query.user = user_;
-  query.fps.reserve(recipe.size());
-  for (const RecipeEntry& e : recipe) {
-    query.fps.push_back(e.fp);
-  }
-  ++rpcs;
-  ASSIGN_OR_RETURN(Bytes reply_frame, CallCloud(cloud, Encode(query)));
-  RETURN_IF_ERROR(DecodeIfError(reply_frame));
-  FpQueryReply query_reply;
-  RETURN_IF_ERROR(Decode(reply_frame, &query_reply));
-  if (query_reply.duplicate.size() != recipe.size()) {
-    return Status::Internal("fp query reply arity mismatch");
-  }
-
-  // Deduplicate within this upload as well: identical secrets produce
-  // identical shares, and only the first instance needs transfer.
-  std::vector<uint8_t> send(recipe.size(), 0);
-  std::unordered_set<Fingerprint, FingerprintHash> in_flight;
-  uint64_t transferred = 0;
-  uint64_t dup = 0;
-  for (size_t i = 0; i < recipe.size(); ++i) {
-    if (query_reply.duplicate[i] != 0 || in_flight.count(recipe[i].fp) > 0) {
-      ++dup;
-      continue;
-    }
-    send[i] = 1;
-    in_flight.insert(recipe[i].fp);
-  }
-
-  // 2. Upload unique shares in 4MB batches (§4.1).
-  UploadSharesRequest batch;
-  batch.user = user_;
-  size_t batch_bytes = 0;
-  auto flush_batch = [&]() -> Status {
-    if (batch.shares.empty()) {
-      return Status::Ok();
-    }
-    ++rpcs;
-    ASSIGN_OR_RETURN(Bytes frame, CallCloud(cloud, Encode(batch)));
-    RETURN_IF_ERROR(DecodeIfError(frame));
-    UploadSharesReply r;
-    RETURN_IF_ERROR(Decode(frame, &r));
-    batch.shares.clear();
-    batch_bytes = 0;
-    return Status::Ok();
-  };
-  for (size_t i = 0; i < recipe.size(); ++i) {
-    if (send[i] == 0) {
-      continue;
-    }
-    batch.shares.push_back(*shares[i]);
-    batch_bytes += shares[i]->size();
-    transferred += shares[i]->size();
-    if (batch_bytes >= opts_.upload_batch_bytes) {
-      RETURN_IF_ERROR(flush_batch());
-    }
-  }
-  RETURN_IF_ERROR(flush_batch());
-
-  // 3. Finalize: metadata + recipe (§4.3).
-  PutFileRequest put;
-  put.user = user_;
-  put.path_key = path_key;
-  put.path_id = path_id;
-  put.path_name_len = path_name_len;
-  put.file_size = file_size;
-  put.mode = fopts.mode;
-  put.generation_id = fopts.generation_id;
-  put.timestamp_ms = fopts.timestamp_ms;
-  put.recipe = recipe;
-  ++rpcs;
-  ASSIGN_OR_RETURN(Bytes frame, CallCloud(cloud, Encode(put)));
-  RETURN_IF_ERROR(DecodeIfError(frame));
-  PutFileReply put_reply;
-  RETURN_IF_ERROR(Decode(frame, &put_reply));
-  if (bound_generation != nullptr) {
-    *bound_generation = put_reply.generation_id;
-  }
-
-  if (stats != nullptr) {
-    MutexLock lock(*stats_mu);
-    stats->transferred_share_bytes += transferred;
-    stats->intra_duplicate_shares += dup;
-    CloudUploadStats& slot = CloudSlot(stats, cloud);
-    slot.transferred_share_bytes += transferred;
-    slot.intra_duplicate_shares += dup;
-    slot.rpcs += rpcs;
-  }
-  CountCloud("cdstore_client_dedup_hits_total", cloud, dup);
-  CountCloud("cdstore_client_dedup_misses_total", cloud, in_flight.size());
-  CountCloud("cdstore_client_transferred_share_bytes_total", cloud, transferred);
-  return Status::Ok();
-}
-
-Status CdstoreClient::UploadBarrier(const std::vector<Bytes>& path_keys, const Bytes& path_id,
-                                    uint32_t path_name_len, ConstByteSpan data,
-                                    const UploadFileOptions& fopts, UploadStats* stats) {
-  Stopwatch compute_watch;
-
-  // 1. Chunking (§4.2).
-  auto chunker = MakeChunker();
-  std::vector<Bytes> secrets;
-  auto sink = [&secrets](ConstByteSpan c) { secrets.emplace_back(c.begin(), c.end()); };
-  chunker->Update(data, sink);
-  chunker->Finish(sink);
-
-  // 2. Parallel convergent dispersal (§4.6).
-  std::vector<std::vector<Bytes>> shares;
-  RETURN_IF_ERROR(pipeline_.EncodeAll(secrets, &shares));
-  double compute_s = compute_watch.ElapsedSeconds();
-  if (metrics_.encode_ns_per_mb != nullptr && !data.empty()) {
-    metrics_.encode_ns_per_mb->Observe(static_cast<uint64_t>(
-        compute_s * 1e9 * (1 << 20) / static_cast<double>(data.size())));
-  }
-
-  // 3. Per-cloud recipes and share lists (share i -> cloud i, §3.2).
-  std::vector<std::vector<RecipeEntry>> recipes(opts_.n);
-  std::vector<std::vector<const Bytes*>> cloud_shares(opts_.n);
-  uint64_t logical_share_bytes = 0;
-  for (size_t s = 0; s < secrets.size(); ++s) {
-    for (int i = 0; i < opts_.n; ++i) {
-      const Bytes& share = shares[s][i];
-      RecipeEntry e;
-      e.fp = FingerprintOf(share);
-      e.secret_size = static_cast<uint32_t>(secrets[s].size());
-      e.share_size = static_cast<uint32_t>(share.size());
-      recipes[i].push_back(std::move(e));
-      cloud_shares[i].push_back(&share);
-      logical_share_bytes += share.size();
-    }
-  }
-  if (stats != nullptr) {
-    stats->logical_bytes += data.size();
-    stats->num_secrets += secrets.size();
-    stats->logical_share_bytes += logical_share_bytes;
-    stats->chunk_encode_seconds += compute_s;
-  }
-
-  // 4. Upload to all clouds concurrently (§4.6: one thread per cloud).
-  Mutex stats_mu;
-  std::vector<Status> results(opts_.n);
-  std::vector<uint64_t> bound_gens(opts_.n, 0);
-  std::vector<std::thread> threads;
-  threads.reserve(opts_.n);
-  TraceContext trace_ctx = CurrentTraceContext();
-  for (int i = 0; i < opts_.n; ++i) {
-    threads.emplace_back([&, i, trace_ctx]() {
-      ScopedTraceParent trace_parent(trace_ctx);
-      ScopedSpan lane_span(opts_.tracer, "uploader");
-      lane_span.AnnotateKV("cloud", static_cast<uint64_t>(i));
-      results[i] = UploadToCloud(i, path_keys[i], path_id, path_name_len, data.size(), fopts,
-                                 recipes[i], cloud_shares[i], stats, &stats_mu,
-                                 &bound_gens[i]);
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  for (int i = 0; i < opts_.n; ++i) {
-    if (!results[i].ok()) {
-      return Status(results[i].code(),
-                    "cloud " + std::to_string(i) + ": " + results[i].message());
-    }
-  }
-  std::vector<int> cloud_ids(opts_.n);
-  std::iota(cloud_ids.begin(), cloud_ids.end(), 0);
-  RETURN_IF_ERROR(CheckGenerationLockstep(cloud_ids, bound_gens));
-  if (stats != nullptr) {
-    stats->generation_id = bound_gens[0];
-  }
-  return Status::Ok();
-}
-
 // -------------------------------------------------------------- download --
 
 Result<GetFileReply> CdstoreClient::FetchRecipe(int cloud, const Bytes& path_key,
@@ -874,34 +683,18 @@ Result<GetFileReply> CdstoreClient::FetchRecipe(int cloud, const Bytes& path_key
   return reply;
 }
 
-Result<CdstoreClient::FetchedShares> CdstoreClient::FetchShares(
-    int cloud, const std::vector<RecipeEntry>& recipe) {
-  FetchedShares out;
-  out.shares.reserve(recipe.size());
-  size_t i = 0;
-  while (i < recipe.size()) {
-    GetSharesRequest req;
-    req.user = user_;
-    size_t batch_bytes = 0;
-    while (i < recipe.size() && batch_bytes < opts_.download_batch_bytes) {
-      req.fps.push_back(recipe[i].fp);
-      batch_bytes += recipe[i].share_size;
-      ++i;
-    }
-    ++out.rpcs;
-    ASSIGN_OR_RETURN(Bytes frame, CallCloud(cloud, Encode(req)));
-    RETURN_IF_ERROR(DecodeIfError(frame));
-    std::vector<ConstByteSpan> spans;
-    RETURN_IF_ERROR(DecodeShareSpans(frame, &spans));
-    if (spans.size() != req.fps.size()) {
-      return Status::Internal("share reply arity mismatch");
-    }
-    // Adopting the frame moves only the vector header; the heap buffer the
-    // spans point into stays put.
-    out.frames.push_back(std::move(frame));
-    out.shares.insert(out.shares.end(), spans.begin(), spans.end());
+Result<Bytes> CdstoreClient::FetchShare(int cloud, const RecipeEntry& entry) {
+  GetSharesRequest req;
+  req.user = user_;
+  req.fps.push_back(entry.fp);
+  ASSIGN_OR_RETURN(Bytes frame, CallCloud(cloud, Encode(req)));
+  RETURN_IF_ERROR(DecodeIfError(frame));
+  std::vector<ConstByteSpan> spans;
+  RETURN_IF_ERROR(DecodeShareSpans(frame, &spans));
+  if (spans.size() != 1) {
+    return Status::Internal("share reply arity mismatch");
   }
-  return out;
+  return Bytes(spans[0].begin(), spans[0].end());
 }
 
 Status CdstoreClient::BruteForceSecret(const std::vector<Bytes>& path_keys,
@@ -922,27 +715,14 @@ Status CdstoreClient::BruteForceSecret(const std::vector<Bytes>& path_keys,
     if (!recipe.ok() || recipe.value().recipe.size() != num_secrets) {
       continue;
     }
-    std::vector<RecipeEntry> one = {recipe.value().recipe[s]};
-    auto extra = FetchShares(i, one);
-    if (!extra.ok() || extra.value().shares.size() != 1) {
+    auto share = FetchShare(i, recipe.value().recipe[s]);
+    if (!share.ok()) {
       continue;
     }
-    ConstByteSpan share = extra.value().shares[0];
     all_ids.push_back(i);
-    all_shares.emplace_back(share.begin(), share.end());
+    all_shares.push_back(std::move(share.value()));
   }
   return DecodeWithBruteForce(*scheme_, all_ids, all_shares, secret_size, out);
-}
-
-Status CdstoreClient::Download(const std::string& path_name, ByteSink& sink,
-                               DownloadStats* stats, uint64_t generation) {
-  ASSIGN_OR_RETURN(std::vector<Bytes> path_keys, PathKeys(path_name));
-  TraceRequest trace(opts_.tracer, "download");
-  ScopedTraceParent trace_parent(trace.context());
-  if (opts_.pipelined_download) {
-    return DownloadPipelined(path_keys, generation, sink, stats);
-  }
-  return DownloadBarrier(path_keys, generation, sink, stats);
 }
 
 Result<Bytes> CdstoreClient::Download(const std::string& path_name, DownloadStats* stats,
@@ -959,9 +739,11 @@ Result<Bytes> CdstoreClient::Download(const std::string& path_name, DownloadStat
 // order. A lane whose cloud fails mid-stream recruits a spare cloud (one
 // with a matching recipe) and resumes from the batch that failed, so a
 // flaky cloud degrades the restore instead of aborting it.
-Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
-                                        uint64_t generation, ByteSink& sink,
-                                        DownloadStats* stats) {
+Status CdstoreClient::Download(const std::string& path_name, ByteSink& sink,
+                               DownloadStats* stats, uint64_t generation) {
+  ASSIGN_OR_RETURN(std::vector<Bytes> path_keys, PathKeys(path_name));
+  TraceRequest trace(opts_.tracer, "download");
+  ScopedTraceParent trace_parent(trace.context());
   const int n = opts_.n;
   const size_t k = static_cast<size_t>(opts_.k);
 
@@ -1223,7 +1005,7 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
   uint64_t received = 0;
   std::vector<uint64_t> received_per_cloud(n, 0);
   // Normally filled from batch deliveries; for a zero-batch (empty) file,
-  // seeded with the recruited lanes so the stat matches the barrier path.
+  // seeded with the recruited lanes, whose recipes were still read.
   std::set<int> clouds_used;
   if (batches.empty()) {
     clouds_used.insert(initial_clouds.begin(), initial_clouds.end());
@@ -1342,126 +1124,6 @@ Status CdstoreClient::DownloadPipelined(const std::vector<Bytes>& path_keys,
       }
       CloudDownloadStats& slot = CloudSlot(stats, c);
       slot.rpcs += ctx.rpcs[c];
-      slot.received_share_bytes += received_per_cloud[c];
-    }
-  }
-  return Status::Ok();
-}
-
-Status CdstoreClient::DownloadBarrier(const std::vector<Bytes>& path_keys,
-                                      uint64_t generation, ByteSink& sink,
-                                      DownloadStats* stats) {
-  // Collect recipes + all shares from any k reachable clouds (§3.1), then
-  // decode everything, then emit — the fetch-then-decode barrier the
-  // pipelined path removes; kept for comparison benchmarks and tests.
-  const int n = opts_.n;
-  std::vector<int> clouds;
-  std::vector<std::vector<RecipeEntry>> recipes;
-  std::vector<FetchedShares> cloud_share_lists;
-  std::vector<uint64_t> rpcs_per_cloud(n, 0);
-  uint64_t file_size = 0;
-  size_t num_secrets = 0;
-  uint64_t resolved_gen = generation;
-  bool have_meta = false;
-  Status last_error = Status::Unavailable("no cloud reachable");
-  for (int i = 0; i < n && clouds.size() < static_cast<size_t>(opts_.k); ++i) {
-    ++rpcs_per_cloud[i];
-    auto recipe = FetchRecipe(i, path_keys[i], have_meta ? resolved_gen : generation);
-    if (!recipe.ok()) {
-      last_error = recipe.status();
-      continue;
-    }
-    if (!have_meta) {
-      file_size = recipe.value().file_size;
-      num_secrets = recipe.value().recipe.size();
-      resolved_gen = recipe.value().generation_id;
-      have_meta = true;
-    } else if (recipe.value().generation_id != resolved_gen) {
-      last_error = Status::Corruption("generation mismatch across clouds");
-      continue;
-    } else if (recipe.value().recipe.size() != num_secrets) {
-      last_error = Status::Corruption("recipe length mismatch across clouds");
-      continue;
-    }
-    auto shares = FetchShares(i, recipe.value().recipe);
-    if (!shares.ok()) {
-      last_error = shares.status();
-      continue;
-    }
-    rpcs_per_cloud[i] += shares.value().rpcs;
-    clouds.push_back(i);
-    recipes.push_back(std::move(recipe.value().recipe));
-    cloud_share_lists.push_back(std::move(shares.value()));
-  }
-  if (clouds.size() < static_cast<size_t>(opts_.k)) {
-    return Status(last_error.code(),
-                  "fewer than k clouds available: " + last_error.message());
-  }
-
-  // Regroup per secret (spans into the reply frames) and decode in
-  // parallel.
-  std::vector<std::vector<int>> ids(num_secrets, clouds);
-  std::vector<std::vector<ConstByteSpan>> per_secret(num_secrets);
-  std::vector<size_t> sizes(num_secrets);
-  uint64_t received = 0;
-  std::vector<uint64_t> received_per_cloud(n, 0);
-  for (size_t s = 0; s < num_secrets; ++s) {
-    per_secret[s].reserve(clouds.size());
-    for (size_t c = 0; c < clouds.size(); ++c) {
-      ConstByteSpan share = cloud_share_lists[c].shares[s];
-      received += share.size();
-      received_per_cloud[clouds[c]] += share.size();
-      per_secret[s].push_back(share);
-    }
-    sizes[s] = recipes[0][s].secret_size;
-  }
-  std::vector<Bytes> secrets;
-  Status decode_status;
-  {
-    ScopedSpan decode_span(opts_.tracer, "decode_batch");
-    decode_span.AnnotateKV("secrets", num_secrets);
-    decode_status = decode_pipeline_.DecodeAll(ids, per_secret, sizes, &secrets);
-  }
-
-  int brute_forced = 0;
-  if (!decode_status.ok()) {
-    // Per-secret fallback (§3.2).
-    for (size_t s = 0; s < num_secrets; ++s) {
-      Bytes out;
-      if (scheme_->DecodeSpans(ids[s], per_secret[s], sizes[s], &out).ok()) {
-        secrets[s] = std::move(out);
-        continue;
-      }
-      std::vector<Bytes> have;
-      have.reserve(per_secret[s].size());
-      for (ConstByteSpan sp : per_secret[s]) {
-        have.emplace_back(sp.begin(), sp.end());
-      }
-      RETURN_IF_ERROR(BruteForceSecret(path_keys, resolved_gen, s, num_secrets, ids[s],
-                                       std::move(have), sizes[s], &secrets[s]));
-      ++brute_forced;
-    }
-  }
-
-  uint64_t delivered = 0;
-  for (const Bytes& s : secrets) {
-    delivered += s.size();
-    RETURN_IF_ERROR(sink.Append(s));
-  }
-  if (delivered != file_size) {
-    return Status::Corruption("restored size mismatch");
-  }
-  if (stats != nullptr) {
-    stats->received_share_bytes += received;
-    stats->num_secrets += num_secrets;
-    stats->brute_force_recoveries += brute_forced;
-    stats->clouds_used = clouds;
-    for (int c = 0; c < n; ++c) {
-      if (rpcs_per_cloud[c] == 0 && received_per_cloud[c] == 0) {
-        continue;
-      }
-      CloudDownloadStats& slot = CloudSlot(stats, c);
-      slot.rpcs += rpcs_per_cloud[c];
       slot.received_share_bytes += received_per_cloud[c];
     }
   }

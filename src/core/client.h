@@ -55,24 +55,15 @@ struct ClientOptions {
   bool fixed_chunking = false;      // default: variable-size (§4.2)
   size_t fixed_chunk_size = 4096;
   RabinChunkerOptions rabin;
-  size_t upload_batch_bytes = 4 << 20;  // §4.1: batch shares in 4MB buffers
-  // Streaming upload pipeline (§4.6): chunking, encoding, and per-cloud
-  // transfer overlap through bounded queues instead of running as three
-  // sequential barriers. Off = the barrier path (kept for comparison
-  // benchmarks and equivalence tests).
-  bool streaming_upload = true;
-  // Pipelined download: per-cloud fetch lanes overlap GetShares RPCs with
-  // decode workers, and secrets stream to the sink with bounded memory.
-  // Off = the barrier path (fetch everything, then decode everything).
-  bool pipelined_download = true;
   // Minimum capacity of each pipeline queue in items (secrets in flight per
   // stage). Per-cloud queues are deepened to roughly 2x stream_batch_bytes
   // of shares so encoding keeps running while an upload RPC is in flight.
   size_t pipeline_queue_depth = 64;
-  // Dedup-query / transfer granularity of the streaming path. Finer than
-  // the 4MB barrier batching so the first bytes hit the wire early in the
-  // upload instead of after most of the file is encoded; dedup results and
-  // transferred bytes are identical for any value.
+  // Dedup-query / transfer granularity of the upload pipeline: each
+  // uploader lane settles one FpQuery window and ships its unique shares
+  // per this many share bytes. Small enough that the first bytes hit the
+  // wire early in the upload, not after most of the file is encoded; dedup
+  // results and transferred bytes are identical for any value.
   size_t stream_batch_bytes = 1 << 20;
   // GetShares granularity of the download path: one fetch RPC covers about
   // this many share bytes. Client restore memory is bounded by a small
@@ -326,16 +317,17 @@ class CdstoreClient {
   Result<std::unique_ptr<BackupSession>> OpenBackupSession();
 
   // Backs up `data` under `path_name`. Thin wrapper: opens a one-file
-  // session (or takes the barrier path when streaming_upload is off).
+  // session, so chunking, encoding, dedup queries and transfer overlap
+  // exactly as in any other session upload.
   Status Upload(const std::string& path_name, ConstByteSpan data, UploadStats* stats = nullptr,
                 const UploadFileOptions& options = {});
 
   // Restores a file from any k reachable clouds, streaming restored bytes
-  // to `sink` in file order. With pipelined_download on, per-cloud fetch
-  // lanes and decode workers overlap and memory stays bounded by a few
-  // download batches per cloud. `generation` selects a backup generation
-  // (0 = latest); clouds whose resolved generation disagrees are rejected,
-  // so a restore never mixes generations.
+  // to `sink` in file order. Per-cloud fetch lanes and decode workers
+  // overlap, and memory stays bounded by a few download batches per cloud.
+  // `generation` selects a backup generation (0 = latest); clouds whose
+  // resolved generation disagrees are rejected, so a restore never mixes
+  // generations.
   Status Download(const std::string& path_name, ByteSink& sink,
                   DownloadStats* stats = nullptr, uint64_t generation = 0);
 
@@ -450,37 +442,12 @@ class CdstoreClient {
                              const std::atomic<bool>* abort_upload, UploadStats* stats,
                              Mutex* stats_mu, uint64_t* bound_generation);
 
-  // Barrier upload: materialize all secrets, EncodeAll, then upload.
-  Status UploadBarrier(const std::vector<Bytes>& path_keys, const Bytes& path_id,
-                       uint32_t path_name_len, ConstByteSpan data,
-                       const UploadFileOptions& fopts, UploadStats* stats);
-  Status UploadToCloud(int cloud, const Bytes& path_key, const Bytes& path_id,
-                       uint32_t path_name_len, uint64_t file_size,
-                       const UploadFileOptions& fopts,
-                       const std::vector<RecipeEntry>& recipe,
-                       const std::vector<const Bytes*>& shares, UploadStats* stats,
-                       Mutex* stats_mu, uint64_t* bound_generation);
-
   // Fetches one cloud's recipe for `generation` (0 = latest); used during
   // download/repair.
   Result<GetFileReply> FetchRecipe(int cloud, const Bytes& path_key, uint64_t generation);
-  // All shares named by `recipe`, fetched from `cloud` in download batches.
-  // The spans view the owned reply frames (no per-share copy).
-  struct FetchedShares {
-    std::vector<Bytes> frames;
-    std::vector<ConstByteSpan> shares;  // recipe order
-    uint64_t rpcs = 0;
-  };
-  Result<FetchedShares> FetchShares(int cloud, const std::vector<RecipeEntry>& recipe);
-
-  // Pipelined download core; `path_keys` already resolved.
-  Status DownloadPipelined(const std::vector<Bytes>& path_keys, uint64_t generation,
-                           ByteSink& sink, DownloadStats* stats);
-  // Barrier download: fetch recipes + all shares from k clouds, decode
-  // everything, then emit. Kept for comparison benchmarks and tests.
-  Status DownloadBarrier(const std::vector<Bytes>& path_keys, uint64_t generation,
-                         ByteSink& sink, DownloadStats* stats);
-  // Shared fallback: decodes secret `s` by brute force over every cloud's
+  // The one share `entry` names, fetched from `cloud`.
+  Result<Bytes> FetchShare(int cloud, const RecipeEntry& entry);
+  // Fallback: decodes secret `s` by brute force over every cloud's
   // copy after the normal k-share decode failed (corruption recovery §3.2).
   Status BruteForceSecret(const std::vector<Bytes>& path_keys, uint64_t generation, size_t s,
                           size_t num_secrets, const std::vector<int>& have_ids,

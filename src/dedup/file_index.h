@@ -27,19 +27,6 @@
 
 namespace cdstore {
 
-// Legacy single-generation view (kept for the flat-index call sites and
-// tests): maps onto the latest generation of a path.
-struct FileIndexEntry {
-  uint64_t file_size = 0;
-  uint64_t num_secrets = 0;
-  // Recipe location in the recipe-container store.
-  uint64_t recipe_container_id = 0;
-  uint32_t recipe_index = 0;
-
-  Bytes Serialize() const;
-  static Result<FileIndexEntry> Deserialize(ConstByteSpan data);
-};
-
 // One backup generation of a path.
 struct GenerationRecord {
   uint64_t generation_id = 0;  // allocated by AppendGeneration, never reused
@@ -166,13 +153,6 @@ class FileIndex {
   // entries. `limit` must be nonzero.
   Result<PathScanPage> ScanPaths(UserId user, ConstByteSpan cursor, size_t limit);
 
-  // --- legacy flat view (latest generation) --------------------------------
-  Status PutFile(UserId user, ConstByteSpan path_key, const FileIndexEntry& entry);
-  Result<FileIndexEntry> GetFile(UserId user, ConstByteSpan path_key);
-  // Removes the path and every generation record under it.
-  Status DeleteFile(UserId user, ConstByteSpan path_key);
-  // Number of paths (not generations) this user has stored.
-  Result<uint64_t> FileCount(UserId user);
   // Number of generation records across ALL users (startup recount for
   // servers whose persisted meta predates the namespace totals).
   Result<uint64_t> TotalGenerationCount();

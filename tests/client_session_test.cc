@@ -2,9 +2,10 @@
 // identical to per-file one-shot uploads (chunk boundaries, dedup, server
 // state), incremental UploadWriter writes must reproduce whole-buffer
 // chunking exactly (the Rabin window carries across Write calls), the
-// pipelined sink-driven download must match the barrier download byte for
-// byte and stat for stat, writer abuse must fail cleanly, and a fetch lane
-// whose cloud dies mid-download must fail over to a spare cloud.
+// pipelined sink-driven download must reproduce golden bytes and stats,
+// writer abuse must fail cleanly, a fetch lane whose cloud dies
+// mid-download must fail over to a spare cloud, and a corrupted share must
+// be recovered by brute force over the spare cloud's copy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -74,7 +75,6 @@ ClientOptions SmallOptions() {
   o.rabin.max_size = 8192;
   o.pipeline_queue_depth = 8;
   // Small batches force several RPCs per cloud so pipelining is exercised.
-  o.upload_batch_bytes = 64 * 1024;
   o.download_batch_bytes = 64 * 1024;
   o.stream_batch_bytes = 32 * 1024;
   return o;
@@ -255,48 +255,51 @@ TEST(BackupSessionTest, WriterAbuseCases) {
   EXPECT_FALSE(session.value()->OpenUpload("/late").ok()) << "closed session must reject opens";
 }
 
-// --------------------------------------- pipelined vs barrier download --
+// ------------------------------------------- golden download outputs --
 
-TEST(DownloadTest, PipelinedMatchesBarrierBytesAndStats) {
+// Golden DownloadStats for Rng(94).RandomBytes(700000) uploaded as "/file"
+// under SmallOptions(), recorded from the barrier download (fetch every
+// share from k clouds, then decode everything). The pipelined download
+// batches identically, so it must reproduce every value exactly.
+struct GoldenCloudDownload {
+  uint64_t received_share_bytes;
+  uint64_t rpcs;
+};
+constexpr uint64_t kGoldenReceivedShareBytes = 708981;
+constexpr uint64_t kGoldenDownloadSecrets = 272;
+const std::vector<int> kGoldenCloudsUsed = {0, 1, 2};
+// GetFile + four 64KB GetShares batches per cloud.
+constexpr GoldenCloudDownload kGoldenDownloadClouds[] = {
+    {236327, 5},
+    {236327, 5},
+    {236327, 5},
+};
+
+TEST(DownloadTest, PipelinedMatchesGoldenBytesAndStats) {
   auto world = MakeDeployment();
-  ClientOptions opts = SmallOptions();
-  CdstoreClient client(world->TransportPtrs(), 1, opts);
+  CdstoreClient client(world->TransportPtrs(), 1, SmallOptions());
   Bytes data = Rng(94).RandomBytes(700000);
   ASSERT_TRUE(client.Upload("/file", data).ok());
 
-  ClientOptions barrier_opts = opts;
-  barrier_opts.pipelined_download = false;
-  CdstoreClient barrier_client(world->TransportPtrs(), 1, barrier_opts);
+  DownloadStats stats;
+  auto restored = client.Download("/file", &stats);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored.value(), data);
 
-  DownloadStats pipelined_stats;
-  DownloadStats barrier_stats;
-  auto pipelined = client.Download("/file", &pipelined_stats);
-  auto barrier = barrier_client.Download("/file", &barrier_stats);
-  ASSERT_TRUE(pipelined.ok()) << pipelined.status();
-  ASSERT_TRUE(barrier.ok()) << barrier.status();
-  EXPECT_EQ(pipelined.value(), data);
-  EXPECT_EQ(barrier.value(), data);
-
-  EXPECT_EQ(pipelined_stats.received_share_bytes, barrier_stats.received_share_bytes);
-  EXPECT_EQ(pipelined_stats.num_secrets, barrier_stats.num_secrets);
-  EXPECT_EQ(pipelined_stats.brute_force_recoveries, 0);
-  EXPECT_EQ(barrier_stats.brute_force_recoveries, 0);
-  EXPECT_EQ(pipelined_stats.clouds_used, barrier_stats.clouds_used);
-  // Same batch size => same per-cloud RPC counts and bytes.
-  ASSERT_EQ(pipelined_stats.per_cloud.size(), barrier_stats.per_cloud.size());
-  for (size_t c = 0; c < pipelined_stats.per_cloud.size(); ++c) {
-    EXPECT_EQ(pipelined_stats.per_cloud[c].received_share_bytes,
-              barrier_stats.per_cloud[c].received_share_bytes)
-        << "cloud " << c;
-    EXPECT_EQ(pipelined_stats.per_cloud[c].rpcs, barrier_stats.per_cloud[c].rpcs)
-        << "cloud " << c;
-  }
-  // Aggregate / per-cloud consistency.
+  EXPECT_EQ(stats.received_share_bytes, kGoldenReceivedShareBytes);
+  EXPECT_EQ(stats.num_secrets, kGoldenDownloadSecrets);
+  EXPECT_EQ(stats.brute_force_recoveries, 0);
+  EXPECT_EQ(stats.clouds_used, kGoldenCloudsUsed);
+  ASSERT_EQ(stats.per_cloud.size(), std::size(kGoldenDownloadClouds));
   uint64_t sum = 0;
-  for (const CloudDownloadStats& c : pipelined_stats.per_cloud) {
-    sum += c.received_share_bytes;
+  for (size_t c = 0; c < stats.per_cloud.size(); ++c) {
+    EXPECT_EQ(stats.per_cloud[c].received_share_bytes,
+              kGoldenDownloadClouds[c].received_share_bytes)
+        << "cloud " << c;
+    EXPECT_EQ(stats.per_cloud[c].rpcs, kGoldenDownloadClouds[c].rpcs) << "cloud " << c;
+    sum += stats.per_cloud[c].received_share_bytes;
   }
-  EXPECT_EQ(sum, pipelined_stats.received_share_bytes);
+  EXPECT_EQ(sum, stats.received_share_bytes);
 }
 
 TEST(DownloadTest, SinkReceivesBytesInOrderAcrossManyBatches) {
@@ -397,6 +400,47 @@ TEST(DownloadTest, FailsCleanlyWhenNoSpareCloudIsLeft) {
   transports[2] = &flaky2;
   CdstoreClient restorer(transports, 1, opts);
   EXPECT_FALSE(restorer.Download("/file").ok());
+}
+
+// A transport whose GetShares replies carry the first share with one byte
+// flipped: models a cloud returning a corrupted share (§3.2).
+class CorruptFirstShareTransport : public Transport {
+ public:
+  explicit CorruptFirstShareTransport(Transport* inner) : inner_(inner) {}
+
+  Result<Bytes> Call(ConstByteSpan request) override {
+    ASSIGN_OR_RETURN(Bytes frame, inner_->Call(request));
+    if (PeekType(request) != MsgType::kGetSharesRequest) {
+      return frame;
+    }
+    GetSharesReply reply;
+    RETURN_IF_ERROR(Decode(frame, &reply));
+    reply.shares[0][0] ^= 0x5a;
+    return Encode(reply);
+  }
+
+ private:
+  Transport* inner_;
+};
+
+TEST(DownloadTest, CorruptedShareRecoveredByBruteForceOverSpareCloud) {
+  auto world = MakeDeployment();
+  CdstoreClient uploader(world->TransportPtrs(), 1, SmallOptions());
+  Bytes data = Rng(100).RandomBytes(200000);
+  ASSERT_TRUE(uploader.Upload("/file", data).ok());
+
+  // Cloud 0 corrupts the first share of every batch it serves; each such
+  // secret must be rebuilt from the spare cloud's copy of its share.
+  std::vector<Transport*> transports = world->TransportPtrs();
+  CorruptFirstShareTransport corrupt(transports[0]);
+  transports[0] = &corrupt;
+  CdstoreClient restorer(transports, 1, SmallOptions());
+
+  DownloadStats stats;
+  auto restored = restorer.Download("/file", &stats);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored.value(), data);
+  EXPECT_GT(stats.brute_force_recoveries, 0);
 }
 
 // ---------------------------------------------------- repair via session --

@@ -94,9 +94,7 @@ ClientOptions FastClientOptions() {
   o.rabin.min_size = 512;
   o.rabin.avg_size = 2048;
   o.rabin.max_size = 8192;
-  o.upload_batch_bytes = 64 * 1024;
   o.download_batch_bytes = 64 * 1024;  // several pipelined batches per cloud
-  o.pipelined_download = true;
   return o;
 }
 

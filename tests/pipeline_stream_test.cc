@@ -1,7 +1,7 @@
 // Streaming pipeline tests: CodingPipeline::Stream must produce exactly
 // what EncodeAll produces (same shares, same order, correct fingerprints),
-// the streaming client upload must be observably identical to the barrier
-// upload (recipes, dedup stats, server state), and the move-accepting
+// the streaming client upload must reproduce golden recipes, dedup stats
+// and server state, and the move-accepting
 // ReedSolomon::Encode must match the copying overload.
 #include <gtest/gtest.h>
 
@@ -12,12 +12,14 @@
 #include "src/core/client.h"
 #include "src/core/coding_pipeline.h"
 #include "src/core/server.h"
+#include "src/crypto/sha256.h"
 #include "src/dedup/fingerprint.h"
 #include "src/dispersal/aont_rs.h"
 #include "src/net/transport.h"
 #include "src/rs/reed_solomon.h"
 #include "src/storage/backend.h"
 #include "src/util/fs_util.h"
+#include "src/util/io.h"
 #include "src/util/rng.h"
 
 namespace cdstore {
@@ -41,8 +43,8 @@ TEST(CodingStreamTest, MatchesEncodeAllSharesOrderAndFingerprints) {
   CodingPipeline pipeline(scheme.get(), 3);
   std::vector<Bytes> secrets = MakeSecrets(200, 21);
 
-  std::vector<std::vector<Bytes>> barrier_shares;
-  ASSERT_TRUE(pipeline.EncodeAll(secrets, &barrier_shares).ok());
+  std::vector<std::vector<Bytes>> batch_shares;
+  ASSERT_TRUE(pipeline.EncodeAll(secrets, &batch_shares).ok());
 
   std::vector<CodingPipeline::EncodedSecret> bundles;
   {
@@ -59,8 +61,8 @@ TEST(CodingStreamTest, MatchesEncodeAllSharesOrderAndFingerprints) {
   for (size_t i = 0; i < secrets.size(); ++i) {
     EXPECT_EQ(bundles[i].seq, i) << "bundles must arrive in submission order";
     EXPECT_EQ(bundles[i].secret_size, secrets[i].size());
-    // CAONT-RS is deterministic: streaming shares must equal barrier shares.
-    EXPECT_EQ(bundles[i].shares, barrier_shares[i]);
+    // CAONT-RS is deterministic: streaming shares must equal EncodeAll shares.
+    EXPECT_EQ(bundles[i].shares, batch_shares[i]);
     ASSERT_EQ(bundles[i].fps.size(), bundles[i].shares.size());
     for (size_t c = 0; c < bundles[i].shares.size(); ++c) {
       EXPECT_EQ(bundles[i].fps[c], FingerprintOf(bundles[i].shares[c]));
@@ -172,7 +174,7 @@ TEST(CodingStreamTest, EncodeErrorSurfacesAndStreamStillDrains) {
   EXPECT_LT(delivered, 100);
 }
 
-// ------------------------------------------- streaming vs barrier upload --
+// ------------------------------------------------ golden upload outputs --
 
 class UploadEquivalenceTest : public ::testing::Test {
  protected:
@@ -199,6 +201,24 @@ class UploadEquivalenceTest : public ::testing::Test {
       EXPECT_TRUE(Decode(frame, &reply).ok());
       return reply;
     }
+
+    // SHA-256 over (fp, secret_size, share_size) of every entry of the
+    // recipe cloud `i` returns from GetFile for `path_key`.
+    std::string RecipeDigest(int i, UserId user, const Bytes& path_key) {
+      GetFileRequest req;
+      req.user = user;
+      req.path_key = path_key;
+      Bytes frame = servers[i]->Handle(Encode(req));
+      GetFileReply reply;
+      EXPECT_TRUE(Decode(frame, &reply).ok());
+      BufferWriter w;
+      for (const RecipeEntry& e : reply.recipe) {
+        w.PutRaw(e.fp);
+        w.PutU32(e.secret_size);
+        w.PutU32(e.share_size);
+      }
+      return HexEncode(Sha256::Hash(w.data()));
+    }
   };
 
   static std::unique_ptr<Deployment> MakeDeployment() {
@@ -215,7 +235,7 @@ class UploadEquivalenceTest : public ::testing::Test {
     return d;
   }
 
-  static ClientOptions Options(bool streaming) {
+  static ClientOptions Options() {
     ClientOptions o;
     o.n = kN;
     o.k = kK;
@@ -223,11 +243,11 @@ class UploadEquivalenceTest : public ::testing::Test {
     o.rabin.min_size = 512;
     o.rabin.avg_size = 2048;
     o.rabin.max_size = 8192;
-    o.streaming_upload = streaming;
     o.pipeline_queue_depth = 8;
-    // Small batches force several query/upload round trips per cloud, so
-    // the interleaved dedup protocol is actually exercised.
-    o.upload_batch_bytes = 64 * 1024;
+    // ~240KB of shares per cloud over 32KB windows: several FpQuery
+    // windows per cloud, so a share already in flight from an earlier
+    // window must still count as an intra-upload duplicate.
+    o.stream_batch_bytes = 32 * 1024;
     return o;
   }
 
@@ -245,47 +265,78 @@ class UploadEquivalenceTest : public ::testing::Test {
   }
 };
 
-TEST_F(UploadEquivalenceTest, StreamingMatchesBarrierStatsServerStateAndContent) {
+// Golden outputs for DupHeavyData(700000, 31) uploaded as "/file" under
+// Options(), recorded from the barrier upload the client used to offer next
+// to the streaming one (chunk and encode the whole file, then one dedup
+// query and batched transfers per cloud). Dedup decisions, recipes and
+// server state do not depend on how the upload is windowed, so the
+// streaming path must reproduce every value exactly.
+struct GoldenCloud {
+  uint64_t transferred_share_bytes;
+  uint64_t intra_duplicate_shares;
+  uint64_t unique_shares;
+  uint64_t stored_bytes;
+  uint64_t file_count;
+  const char* recipe_sha256;
+};
+constexpr uint64_t kGoldenLogicalBytes = 700000;
+constexpr uint64_t kGoldenGenerationId = 1;
+constexpr uint64_t kGoldenNumSecrets = 299;
+constexpr uint64_t kGoldenLogicalShareBytes = 946492;
+constexpr uint64_t kGoldenTransferredShareBytes = 478204;
+constexpr uint64_t kGoldenIntraDuplicateShares = 636;
+constexpr GoldenCloud kGoldenClouds[] = {
+    {119551, 159, 140, 119551, 1,
+     "7000ff86c9af66d89e66329dfe5c05852fcc1c3b876e82105ade241785584e90"},
+    {119551, 159, 140, 119551, 1,
+     "0681b4af287bd76fccde26f1db78839f6fc618674ffca055728a39ee68280e0b"},
+    {119551, 159, 140, 119551, 1,
+     "856f2dd81d774fd5f014fd56d6374be2fe2ac025286cb5ce45f8710c3e01ca35"},
+    {119551, 159, 140, 119551, 1,
+     "34a5aa09125a29571af42cfd250090469e192d397cac7c446ce8c975c0899150"},
+};
+
+TEST_F(UploadEquivalenceTest, StreamingMatchesGoldenStatsServerStateAndContent) {
   Bytes data = DupHeavyData(700000, 31);
+  auto world = MakeDeployment();
+  CdstoreClient client(world->TransportPtrs(), 1, Options());
+  UploadStats stats;
+  ASSERT_TRUE(client.Upload("/file", data, &stats).ok());
 
-  auto barrier_world = MakeDeployment();
-  auto streaming_world = MakeDeployment();
-  CdstoreClient barrier_client(barrier_world->TransportPtrs(), 1, Options(false));
-  CdstoreClient streaming_client(streaming_world->TransportPtrs(), 1, Options(true));
+  EXPECT_EQ(stats.logical_bytes, kGoldenLogicalBytes);
+  EXPECT_EQ(stats.generation_id, kGoldenGenerationId);
+  EXPECT_EQ(stats.num_secrets, kGoldenNumSecrets);
+  EXPECT_EQ(stats.logical_share_bytes, kGoldenLogicalShareBytes);
+  EXPECT_EQ(stats.transferred_share_bytes, kGoldenTransferredShareBytes);
+  EXPECT_EQ(stats.intra_duplicate_shares, kGoldenIntraDuplicateShares);
+  EXPECT_GT(stats.intra_duplicate_shares, 0u) << "test data must contain dups";
 
-  UploadStats barrier_stats;
-  UploadStats streaming_stats;
-  ASSERT_TRUE(barrier_client.Upload("/file", data, &barrier_stats).ok());
-  ASSERT_TRUE(streaming_client.Upload("/file", data, &streaming_stats).ok());
-
-  // Identical accounting (timing aside).
-  EXPECT_EQ(streaming_stats.logical_bytes, barrier_stats.logical_bytes);
-  EXPECT_EQ(streaming_stats.num_secrets, barrier_stats.num_secrets);
-  EXPECT_EQ(streaming_stats.logical_share_bytes, barrier_stats.logical_share_bytes);
-  EXPECT_EQ(streaming_stats.transferred_share_bytes, barrier_stats.transferred_share_bytes);
-  EXPECT_EQ(streaming_stats.intra_duplicate_shares, barrier_stats.intra_duplicate_shares);
-  EXPECT_GT(streaming_stats.intra_duplicate_shares, 0u) << "test data must contain dups";
-
-  // Identical server-side state: same unique shares, bytes, and files.
+  // Path keys are the CAONT-RS shares of the path name (client.h, §4.3).
+  std::vector<Bytes> path_keys;
+  ASSERT_TRUE(MakeCaontRs(kN, kK)->Encode(BytesOf("/file"), &path_keys).ok());
+  ASSERT_EQ(stats.per_cloud.size(), static_cast<size_t>(kN));
   for (int i = 0; i < kN; ++i) {
-    StatsReply b = barrier_world->ServerStats(i);
-    StatsReply s = streaming_world->ServerStats(i);
-    EXPECT_EQ(s.unique_shares, b.unique_shares) << "cloud " << i;
-    EXPECT_EQ(s.stored_bytes, b.stored_bytes) << "cloud " << i;
-    EXPECT_EQ(s.file_count, b.file_count) << "cloud " << i;
+    const GoldenCloud& g = kGoldenClouds[i];
+    EXPECT_EQ(stats.per_cloud[i].transferred_share_bytes, g.transferred_share_bytes)
+        << "cloud " << i;
+    EXPECT_EQ(stats.per_cloud[i].intra_duplicate_shares, g.intra_duplicate_shares)
+        << "cloud " << i;
+    // FpQuery + UploadShares + PutFile is 3 RPCs for one window; more means
+    // the cross-window in-flight dedup above was really exercised.
+    EXPECT_GT(stats.per_cloud[i].rpcs, 3u) << "cloud " << i;
+    StatsReply s = world->ServerStats(i);
+    EXPECT_EQ(s.unique_shares, g.unique_shares) << "cloud " << i;
+    EXPECT_EQ(s.stored_bytes, g.stored_bytes) << "cloud " << i;
+    EXPECT_EQ(s.file_count, g.file_count) << "cloud " << i;
+    EXPECT_EQ(world->RecipeDigest(i, 1, path_keys[i]), g.recipe_sha256) << "cloud " << i;
   }
 
-  // Both restore, and a barrier-mode client can read a streaming upload
-  // (identical recipes on the wire).
-  EXPECT_EQ(barrier_client.Download("/file").value(), data);
-  EXPECT_EQ(streaming_client.Download("/file").value(), data);
-  CdstoreClient cross_reader(streaming_world->TransportPtrs(), 1, Options(false));
-  EXPECT_EQ(cross_reader.Download("/file").value(), data);
+  EXPECT_EQ(client.Download("/file").value(), data);
 }
 
 TEST_F(UploadEquivalenceTest, StreamingReuploadFullyDedups) {
   auto world = MakeDeployment();
-  CdstoreClient client(world->TransportPtrs(), 1, Options(true));
+  CdstoreClient client(world->TransportPtrs(), 1, Options());
   Bytes data = Rng(32).RandomBytes(300000);
   ASSERT_TRUE(client.Upload("/v1", data).ok());
   UploadStats second;
@@ -296,7 +347,7 @@ TEST_F(UploadEquivalenceTest, StreamingReuploadFullyDedups) {
 
 TEST_F(UploadEquivalenceTest, StreamingUploadFailsCleanlyWhenCloudDisconnected) {
   auto world = MakeDeployment();
-  CdstoreClient client(world->TransportPtrs(), 1, Options(true));
+  CdstoreClient client(world->TransportPtrs(), 1, Options());
   world->transports[2]->set_connected(false);
   Bytes data = Rng(33).RandomBytes(200000);
   Status st = client.Upload("/doomed", data);
